@@ -465,7 +465,7 @@ type ExperimentOptions = experiments.Options
 // GainResult holds a topology campaign's gain and BER distributions.
 type GainResult = experiments.GainResult
 
-// Figure regeneration entry points (see DESIGN.md's experiment index).
+// Figure regeneration entry points, one per figure of §8 and §11.
 var (
 	Fig9    = experiments.Fig9
 	Fig10   = experiments.Fig10

@@ -9,8 +9,8 @@
 // smaller one. Aggregate results are attached as custom benchmark metrics
 // (gain/traditional, gain/COPE, BER, overlap), and each figure's full
 // series is printed once per process. Micro-benchmarks at the bottom
-// profile the decoder's hot paths; Ablation* benchmarks print the design
-// ablation tables from DESIGN.md §5.
+// profile the decoder's and the channel's hot paths; Ablation* benchmarks
+// print the design ablation tables (internal/experiments/ablation.go).
 package repro
 
 import (
@@ -236,7 +236,7 @@ func BenchmarkSummaryTable(b *testing.B) {
 	printSummary.Do(func() { fmt.Print(experiments.Summary(opts)) })
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (internal/experiments/ablation.go) ---
 
 func BenchmarkAblationMatcher(b *testing.B) {
 	cfg := benchSim()
@@ -296,9 +296,31 @@ func BenchmarkModulate(b *testing.B) {
 	m := msk.New()
 	bs := benchBits(1024, 1)
 	b.SetBytes(int64(len(bs)) / 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Modulate(bs)
+	}
+}
+
+// BenchmarkReceiveInto measures channel synthesis for one collision: two
+// overlapping frame-length transmissions, each with its own gain, phase
+// and carrier-frequency offset, plus receiver noise, synthesized into a
+// reused buffer as the engine does. Steady state allocates nothing.
+func BenchmarkReceiveInto(b *testing.B) {
+	m := msk.New()
+	n := frame.FrameBits(128)
+	txs := []channel.Transmission{
+		{Signal: m.Modulate(benchBits(n, 8)), Link: channel.Link{Gain: 0.8, Phase: 0.5, FreqOffset: 0.007}},
+		{Signal: m.Modulate(benchBits(n, 9)), Link: channel.Link{Gain: 0.75, Phase: -1.0, FreqOffset: -0.006}, Delay: 1100},
+	}
+	noise := dsp.NewNoiseSource(1e-3, 10)
+	buf := channel.ReceiveInto(nil, noise, 64, txs...)
+	b.SetBytes(int64(len(buf)) * 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = channel.ReceiveInto(buf, noise, 64, txs...)
 	}
 }
 

@@ -238,3 +238,78 @@ func TestNoiseReseedMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// randomPhasors returns n unit-magnitude samples of random phase.
+func randomPhasors(rng *rand.Rand, n int) dsp.Signal {
+	s := make(dsp.Signal, n)
+	for i := range s {
+		s[i] = cmplx.Exp(complex(0, rng.Float64()*2*math.Pi))
+	}
+	return s
+}
+
+// The CFO rotation advances a phasor by recurrence and re-anchors it
+// every anchorEvery samples. Over a million samples at ±0.024 rad/sample
+// — twice the widest relative offset topologies draw (two nodes' offsets
+// of up to ±0.012 each) — it must stay within 1e-12 of a per-sample
+// complex exponential, and equal it bit for bit at every anchor.
+func TestReceiveIntoCFOMatchesPerSampleExp(t *testing.T) {
+	s := randomPhasors(rand.New(rand.NewSource(21)), 1<<20)
+	for _, f := range []float64{0.024, -0.024} {
+		l := Link{Gain: 0.9, Phase: 0.3, FreqOffset: f}
+		got := ReceiveInto(nil, nil, 0, Transmission{Signal: s, Link: l})
+		g := complex(l.Gain, 0) * cmplx.Exp(complex(0, l.Phase))
+		worst := 0.0
+		for n, v := range s {
+			want := v * g * cmplx.Exp(complex(0, f*float64(n)))
+			if n%anchorEvery == 0 && got[n] != want {
+				t.Fatalf("f=%v anchor sample %d: %v, per-sample exp %v", f, n, got[n], want)
+			}
+			worst = max(worst, cmplx.Abs(got[n]-want))
+		}
+		if worst > 1e-12 {
+			t.Errorf("f=%v: max |Δ| from per-sample exp = %.3g, want ≤ 1e-12", f, worst)
+		}
+	}
+}
+
+// Link.Apply and ReceiveInto share one rotation loop: Apply must equal a
+// noise-free, zero-delay, single-transmission reception bit for bit. The
+// first link has no frequency offset, where Apply is s.Scale(g): it pins
+// ReceiveInto's unrotated v·g path.
+func TestLinkApplyMatchesReceiveInto(t *testing.T) {
+	s := randomPhasors(rand.New(rand.NewSource(23)), 3001)
+	for _, l := range []Link{
+		{Gain: 0.8, Phase: 0.7},
+		{Gain: 0.8, Phase: 0.7, FreqOffset: 0.011},
+		{Gain: 0.5, Phase: -1.9, FreqOffset: -0.024},
+	} {
+		want := ReceiveInto(nil, nil, 0, Transmission{Signal: s, Link: l})
+		got := l.Apply(s)
+		if len(got) != len(want) {
+			t.Fatalf("%+v: Apply gave %d samples, ReceiveInto %d", l, len(got), len(want))
+		}
+		for n := range want {
+			if got[n] != want[n] {
+				t.Fatalf("%+v sample %d: Apply %v, ReceiveInto %v", l, n, got[n], want[n])
+			}
+		}
+	}
+}
+
+// A reception into a reused buffer allocates nothing, CFO rotation and
+// noise included.
+func TestReceiveIntoReusedBufferAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	txs := []Transmission{
+		{Signal: randomPhasors(rng, 2000), Link: Link{Gain: 0.8, Phase: 0.4, FreqOffset: 0.005}},
+		{Signal: randomPhasors(rng, 2000), Link: Link{Gain: 0.7, Phase: -1.2, FreqOffset: -0.008}, Delay: 900},
+	}
+	noise := dsp.NewNoiseSource(1e-2, 1)
+	buf := ReceiveInto(nil, noise, 64, txs...)
+	if allocs := testing.AllocsPerRun(20, func() {
+		buf = ReceiveInto(buf, noise, 64, txs...)
+	}); allocs != 0 {
+		t.Errorf("ReceiveInto into a reused buffer: %v allocs/op, want 0", allocs)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bits"
 	"repro/internal/core"
@@ -150,6 +151,27 @@ func TestStepPrior(t *testing.T) {
 	// π is equidistant from ±3π/4: distance π/4.
 	if got := m.StepPrior(math.Pi); math.Abs(got-math.Pi/4) > 1e-12 {
 		t.Errorf("StepPrior(π) = %v, want π/4", got)
+	}
+}
+
+// StepPrior wraps its argument; a non-finite or huge phase difference
+// must come back (NaN for ±Inf), not spin in the wrap.
+func TestStepPriorTerminates(t *testing.T) {
+	m := New()
+	done := make(chan [3]float64, 1)
+	go func() {
+		done <- [3]float64{m.StepPrior(math.Inf(-1)), m.StepPrior(math.Inf(1)), m.StepPrior(-1e17)}
+	}()
+	select {
+	case got := <-done:
+		if !math.IsNaN(got[0]) || !math.IsNaN(got[1]) {
+			t.Errorf("StepPrior(∓Inf) = %v, %v, want NaN", got[0], got[1])
+		}
+		if got[2] < 0 || got[2] > math.Pi {
+			t.Errorf("StepPrior(-1e17) = %v, outside [0, π]", got[2])
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("StepPrior did not return within 2 s")
 	}
 }
 

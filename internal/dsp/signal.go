@@ -169,10 +169,37 @@ func (s Signal) Magnitudes() []float64 {
 	return out
 }
 
+// wrapLoopLimit bounds the angles WrapPhase reduces by repeated 2π
+// steps. Every angle the decoder wraps is a sum or difference of a few
+// phases, well inside it.
+const wrapLoopLimit = 32 * math.Pi
+
 // WrapPhase maps an angle to the interval (−π, π]. Every phase comparison
 // in the decoder wraps first; forgetting to do so turns a −π/2 symbol into
-// a 3π/2 "error" and flips the decision.
+// a 3π/2 "error" and flips the decision. Angles beyond ±32π are reduced
+// with math.Remainder: stepping by 2π would take |p|/2π iterations and,
+// once 2π is below half an ulp of p (|p| ≳ 1e16), never end. ±Inf and
+// NaN have no angle and return NaN.
 func WrapPhase(p float64) float64 {
+	if p > math.Pi || p <= -math.Pi {
+		return wrapOutside(p)
+	}
+	return p
+}
+
+// wrapOutside is WrapPhase for an angle outside (−π, π]. It is kept out
+// of line so that WrapPhase, which mostly returns its argument, stays
+// small enough to inline.
+//
+//go:noinline
+func wrapOutside(p float64) float64 {
+	if p > wrapLoopLimit || p < -wrapLoopLimit {
+		// Exact, in [−π, π], and NaN for ±Inf.
+		if p = math.Remainder(p, 2*math.Pi); p <= -math.Pi {
+			p += 2 * math.Pi
+		}
+		return p
+	}
 	for p > math.Pi {
 		p -= 2 * math.Pi
 	}

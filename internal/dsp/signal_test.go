@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -157,14 +158,87 @@ func TestWrapPhase(t *testing.T) {
 
 func TestWrapPhaseRange(t *testing.T) {
 	f := func(p float64) bool {
-		if math.IsNaN(p) || math.Abs(p) > 1e6 {
-			return true // skip absurd magnitudes: loop would be slow
+		if math.IsNaN(p) {
+			return true
 		}
 		w := WrapPhase(p)
 		return w > -math.Pi-1e-9 && w <= math.Pi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// wrapPhaseByLoop is WrapPhase's in-range reduction on its own: the
+// 2π-stepping loop whose results the decoder's decisions depend on.
+func wrapPhaseByLoop(p float64) float64 {
+	for p > math.Pi {
+		p -= 2 * math.Pi
+	}
+	for p <= -math.Pi {
+		p += 2 * math.Pi
+	}
+	return p
+}
+
+// Angles within ±32π must still wrap by repeated 2π steps, bit for bit:
+// a different rounding would move decisions and goldens.
+func TestWrapPhaseInRangeBitIdentical(t *testing.T) {
+	f := func(u float64) bool {
+		p := math.Mod(u, wrapLoopLimit) // u is drawn from ±MaxFloat64
+		return WrapPhase(p) == wrapPhaseByLoop(p)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Error(err)
+	}
+	for _, p := range []float64{wrapLoopLimit, -wrapLoopLimit, 31 * math.Pi, -31 * math.Pi} {
+		if got, want := WrapPhase(p), wrapPhaseByLoop(p); got != want {
+			t.Errorf("WrapPhase(%v) = %v, loop gives %v", p, got, want)
+		}
+	}
+}
+
+// WrapPhase must return for every input. Past |p| ≈ 1e16 a 2π step no
+// longer changes p, so a pure stepping loop spins forever; ±Inf has no
+// angle at all.
+func TestWrapPhaseTerminates(t *testing.T) {
+	cases := []float64{
+		33 * math.Pi, -33 * math.Pi, 1e6, 1e16, 1e17, -1e17, 1e300,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	done := make(chan []float64, 1)
+	go func() {
+		out := make([]float64, len(cases))
+		for i, p := range cases {
+			out[i] = WrapPhase(p)
+		}
+		done <- out
+	}()
+	var got []float64
+	select {
+	case got = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("WrapPhase did not return within 2 s")
+	}
+	for i, p := range cases {
+		w := got[i]
+		if math.IsInf(p, 0) || math.IsNaN(p) {
+			if !math.IsNaN(w) {
+				t.Errorf("WrapPhase(%v) = %v, want NaN", p, w)
+			}
+			continue
+		}
+		if !(w > -math.Pi && w <= math.Pi) {
+			t.Errorf("WrapPhase(%v) = %v, outside (−π, π]", p, w)
+		}
+		// The reduction is exact: p and its wrap differ by a whole
+		// number of turns (checked where that number is representable).
+		if math.Abs(p) < 1e15 {
+			turns := (p - w) / (2 * math.Pi)
+			if math.Abs(turns-math.Round(turns)) > 1e-9 {
+				t.Errorf("WrapPhase(%v) = %v is %v turns away", p, w, turns)
+			}
+		}
 	}
 }
 

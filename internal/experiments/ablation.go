@@ -16,10 +16,10 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the ablation studies DESIGN.md commits to: they
-// quantify the design choices the reproduction makes beyond the paper's
-// letter — the matcher refinements, the amplitude estimator, the
-// subtraction strawman §6 rejects, and the overlap/throughput trade-off.
+// This file holds the ablation studies: they quantify the design choices
+// the reproduction makes beyond the paper's letter — the matcher
+// refinements, the amplitude estimator, the subtraction strawman §6
+// rejects, and the overlap/throughput trade-off.
 
 // runTally is the ablations' Recorder: streaming aggregates only — BER
 // sum/count, goodput, air time, losses — with none of the per-packet

@@ -4,8 +4,8 @@
 // runs, each pairing ANC against its baselines on identical channel
 // realizations — and renders the same series the paper plots.
 //
-// The experiment index lives in DESIGN.md; measured-versus-paper numbers
-// are recorded in EXPERIMENTS.md.
+// golden_test.go pins every figure's rendered series against the files in
+// testdata/.
 package experiments
 
 import (

@@ -27,10 +27,14 @@ const DefaultSamplesPerSymbol = 4
 const PhaseStep = math.Pi / 2
 
 // Modem modulates bit slices into complex baseband signals and back.
-// A Modem is stateless and safe for concurrent use.
+// A Modem is immutable once built and safe for concurrent use.
 type Modem struct {
 	sps       int     // samples per symbol
 	amplitude float64 // transmit amplitude As (§5.2: constant)
+
+	// phasors[k] = As·e^{ikπ/(2S)} for k in [0, 4S): every sample MSK
+	// can emit, since its phase only ever moves in ±π/(2S) steps.
+	phasors []complex128
 }
 
 // Option configures a Modem.
@@ -60,7 +64,26 @@ func New(opts ...Option) *Modem {
 	if m.amplitude <= 0 {
 		panic(fmt.Sprintf("msk: non-positive amplitude %v", m.amplitude))
 	}
+	m.phasors = phasorTable(m.sps, m.amplitude)
 	return m
+}
+
+// phasorTable returns As·e^{ikπ/(2S)} for k in [0, 4S). Angles past π are
+// taken as the equivalent negative angle, so each entry is the
+// exponential of the phase wrapped into (−π, π], as a per-sample
+// exponential of the wrapped phase computes it.
+func phasorTable(sps int, amplitude float64) []complex128 {
+	n := 4 * sps
+	step := PhaseStep / float64(sps)
+	out := make([]complex128, n)
+	for k := range out {
+		j := k
+		if j > 2*sps {
+			j -= n
+		}
+		out[k] = complex(amplitude, 0) * cmplx.Exp(complex(0, float64(j)*step))
+	}
+	return out
 }
 
 // SamplesPerSymbol returns the oversampling factor.
@@ -85,19 +108,26 @@ func (m *Modem) NumBits(nsamples int) int {
 // is the phase reference As·e^{i0}; each subsequent bit contributes S
 // samples whose phase advances by +π/(2S) per sample for a 1 and −π/(2S)
 // for a 0 (continuous phase, Fig. 3).
+//
+// The phase is tracked as an integer index k mod 4S (phase kπ/(2S)) and
+// each sample is read from the Modem's phasor table, so no sample costs
+// a complex exponential and the phase never accumulates rounding.
 func (m *Modem) Modulate(bs []byte) dsp.Signal {
-	out := make(dsp.Signal, 0, m.NumSamples(len(bs)))
-	phase := 0.0
-	out = append(out, complex(m.amplitude, 0))
-	step := PhaseStep / float64(m.sps)
+	out := make(dsp.Signal, m.NumSamples(len(bs)))
+	out[0] = m.phasors[0]
+	n := len(m.phasors)
+	k, i := 0, 1
 	for _, b := range bs {
-		d := -step
+		d := n - 1 // −π/(2S) ≡ +(4S−1)·π/(2S)
 		if b&1 == 1 {
-			d = step
+			d = 1
 		}
-		for k := 0; k < m.sps; k++ {
-			phase = dsp.WrapPhase(phase + d)
-			out = append(out, complex(m.amplitude, 0)*cmplx.Exp(complex(0, phase)))
+		for range m.sps {
+			if k += d; k >= n {
+				k -= n
+			}
+			out[i] = m.phasors[k]
+			i++
 		}
 	}
 	return out

@@ -4,11 +4,14 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bits"
 	"repro/internal/dsp"
+	"repro/internal/frame"
 )
 
 func randomBits(rng *rand.Rand, n int) []byte {
@@ -271,5 +274,120 @@ func TestStepPrior(t *testing.T) {
 func TestBitsPerSymbol(t *testing.T) {
 	if New().BitsPerSymbol() != 1 {
 		t.Error("MSK carries one bit per symbol")
+	}
+}
+
+// The largest frame the header's 16-bit length field can describe.
+var maxFrameBits = frame.FrameBits(1<<16 - 1)
+
+// Modulate reads its samples from a phasor table; it must agree with a
+// per-sample complex exponential of the ideal phase ramp θ[n] = k·π/(2S),
+// k the running count of +1/−1 steps, over the longest frame.
+func TestModulateMatchesPerSampleExp(t *testing.T) {
+	const amp = 0.7
+	in := randomBits(rand.New(rand.NewSource(17)), maxFrameBits)
+	for _, sps := range []int{1, 2, 4, 8} {
+		m := New(WithSamplesPerSymbol(sps), WithAmplitude(amp))
+		s := m.Modulate(in)
+		if len(s) != m.NumSamples(len(in)) {
+			t.Fatalf("sps=%d: %d samples, want %d", sps, len(s), m.NumSamples(len(in)))
+		}
+		step := PhaseStep / float64(sps)
+		k, n := 0, 0
+		check := func() {
+			j := k % (4 * sps) // wrap the index, not the angle: exact
+			if j > 2*sps {
+				j -= 4 * sps
+			} else if j <= -2*sps {
+				j += 4 * sps
+			}
+			want := complex(amp, 0) * cmplx.Exp(complex(0, float64(j)*step))
+			if d := cmplx.Abs(s[n] - want); d > 1e-12 {
+				t.Fatalf("sps=%d sample %d: %v, per-sample exp %v (|Δ| = %.3g)", sps, n, s[n], want, d)
+			}
+			n++
+		}
+		check()
+		for _, b := range in {
+			for range sps {
+				if b&1 == 1 {
+					k++
+				} else {
+					k--
+				}
+				check()
+			}
+		}
+	}
+}
+
+// For S ∈ {1, 2, 4} the ±π/(2S) steps are exact binary fractions of π,
+// so a float phase accumulated by dsp.WrapPhase never rounds and the
+// table reproduces that ramp's exponentials bit for bit. Campaigns run at
+// S = 4, so their transmitted samples are unchanged.
+func TestModulateBitIdenticalToAccumulatedPhase(t *testing.T) {
+	in := randomBits(rand.New(rand.NewSource(18)), maxFrameBits)
+	for _, sps := range []int{1, 2, 4} {
+		m := New(WithSamplesPerSymbol(sps), WithAmplitude(1.3))
+		s := m.Modulate(in)
+		step := PhaseStep / float64(sps)
+		phase, n := 0.0, 1
+		for _, b := range in {
+			d := -step
+			if b&1 == 1 {
+				d = step
+			}
+			for range sps {
+				phase = dsp.WrapPhase(phase + d)
+				if want := complex(1.3, 0) * cmplx.Exp(complex(0, phase)); s[n] != want {
+					t.Fatalf("sps=%d sample %d: %v, accumulated-phase exp %v", sps, n, s[n], want)
+				}
+				n++
+			}
+		}
+	}
+}
+
+// A Modem is safe for concurrent use: goroutines modulating with one
+// Modem share its phasor table and must each get the serial result.
+func TestModulateConcurrent(t *testing.T) {
+	m := New(WithAmplitude(0.9))
+	in := randomBits(rand.New(rand.NewSource(19)), 2000)
+	want := m.Modulate(in)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := m.Modulate(in)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("concurrent Modulate sample %d: %v, serial %v", i, got[i], want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// StepPrior wraps its argument; a non-finite or huge phase difference
+// must come back (NaN for ±Inf), not spin in the wrap.
+func TestStepPriorTerminates(t *testing.T) {
+	m := New()
+	done := make(chan [3]float64, 1)
+	go func() {
+		done <- [3]float64{m.StepPrior(math.Inf(-1)), m.StepPrior(math.Inf(1)), m.StepPrior(1e17)}
+	}()
+	select {
+	case got := <-done:
+		if !math.IsNaN(got[0]) || !math.IsNaN(got[1]) {
+			t.Errorf("StepPrior(∓Inf) = %v, %v, want NaN", got[0], got[1])
+		}
+		if got[2] < 0 || got[2] > math.Pi {
+			t.Errorf("StepPrior(1e17) = %v, outside [0, π]", got[2])
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("StepPrior did not return within 2 s")
 	}
 }

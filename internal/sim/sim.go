@@ -21,7 +21,7 @@
 // rows to a Sink in seed order at constant memory. See Recorder.
 //
 // Two calibration constants connect simulated time accounting to the
-// paper's testbed (see DESIGN.md and EXPERIMENTS.md):
+// paper's testbed:
 //
 //   - the random-delay distribution is sized so the mean packet overlap is
 //     ≈ 80%, the figure §11.4 reports; and

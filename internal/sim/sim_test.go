@@ -38,7 +38,7 @@ func TestAliceBobOrdering(t *testing.T) {
 
 func TestAliceBobGainRange(t *testing.T) {
 	// The paper reports ≈1.70× over routing and ≈1.30× over COPE; our
-	// time model lands in the same region (see EXPERIMENTS.md). Assert a
+	// time model lands in the same region. Assert a
 	// band wide enough for run-to-run noise but tight enough to catch
 	// accounting regressions.
 	var gTrad, gCope float64
